@@ -100,6 +100,15 @@ fn bench_coders(c: &mut Criterion) {
             b.iter(|| CompressedArray::<f32, i16>::from_bytes(&bytes).unwrap());
         });
     }
+    // A frame-sized chunk: at 64² the per-call coder setup (histogram,
+    // symbol table, lookup) is a visible share of `to_bytes`, which the
+    // 1024² cases above amortize away.
+    let small_n = 64usize;
+    let small: CompressedArray<f32, i16> = compress(&smooth_2d(small_n), &settings).unwrap();
+    g.throughput(Throughput::Elements((small_n * small_n) as u64));
+    g.bench_function(BenchmarkId::new("to_bytes/auto", small_n), |b| {
+        b.iter(|| small.to_bytes());
+    });
     g.finish();
 }
 

@@ -24,12 +24,69 @@ pub(crate) const RANS_L: u64 = 1 << 31;
 /// Encoder-side symbol-id marker for "not in the table" (escape).
 pub(crate) const ESCAPE: u16 = u16::MAX;
 
-/// Value → symbol-id lookup. Narrow index types get a dense array over
-/// the whole value space (≤ 64 Ki entries); wide ones binary-search the
-/// sorted table values.
+/// Value → symbol-id lookup. Narrow index types index a dense array over
+/// the whole value space, borrowed from per-thread scratch; wide ones
+/// binary-search the sorted table values.
 enum Lookup {
-    Dense(Vec<u16>),
+    Dense(DenseIds),
     Sparse(Vec<i64>),
+}
+
+/// Widest index type the dense lookup serves. Narrower values, taken
+/// modulo 2^16, land on distinct slots too, so one array serves them all.
+const DENSE_BITS: u32 = 16;
+const DENSE_MASK: u64 = (1 << DENSE_BITS) - 1;
+
+std::thread_local! {
+    /// Spare dense id array, all [`ESCAPE`] while it sits here.
+    static DENSE_IDS: std::cell::Cell<Option<Vec<u16>>> = const { std::cell::Cell::new(None) };
+}
+
+/// A dense value → id array for one table, taken from this thread's
+/// spare. Building it sets one entry per table symbol; dropping it resets
+/// exactly those entries to [`ESCAPE`] and hands the array back, so a
+/// table costs O(symbols), not O(2^16), to build and discard.
+struct DenseIds {
+    ids: Vec<u16>,
+    /// Slots set by this table.
+    set: Vec<usize>,
+}
+
+impl DenseIds {
+    fn new(vals: &[i64]) -> Self {
+        let ids = DENSE_IDS
+            .try_with(|slot| slot.take())
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| vec![ESCAPE; 1 << DENSE_BITS]);
+        let mut dense = Self {
+            ids,
+            set: Vec::with_capacity(vals.len()),
+        };
+        for (id, &v) in vals.iter().enumerate() {
+            let slot = (v as u64 & DENSE_MASK) as usize;
+            dense.set.push(slot);
+            dense.ids[slot] = id as u16;
+        }
+        dense
+    }
+
+    #[inline]
+    fn get(&self, v: i64) -> u16 {
+        self.ids[(v as u64 & DENSE_MASK) as usize]
+    }
+}
+
+impl Drop for DenseIds {
+    fn drop(&mut self) {
+        for &slot in &self.set {
+            self.ids[slot] = ESCAPE;
+        }
+        let ids = std::mem::take(&mut self.ids);
+        // During thread teardown the slot may be gone; the array is then
+        // simply freed.
+        let _ = DENSE_IDS.try_with(|slot| slot.set(Some(ids)));
+    }
 }
 
 /// Encoder view of a [`SymbolTable`]: per-symbol `(freq, cum)` rows plus
@@ -45,14 +102,8 @@ pub(crate) struct EncTable {
 impl EncTable {
     /// Builds the encoder table for index type `I`.
     pub(crate) fn new<I: BinIndex>(t: &SymbolTable) -> Self {
-        let lookup = if I::BITS <= 16 {
-            let size = 1usize << I::BITS;
-            let mask = size as u64 - 1;
-            let mut ids = vec![ESCAPE; size];
-            for (id, &v) in t.vals.iter().enumerate() {
-                ids[(v as u64 & mask) as usize] = id as u16;
-            }
-            Lookup::Dense(ids)
+        let lookup = if I::BITS <= DENSE_BITS {
+            Lookup::Dense(DenseIds::new(&t.vals))
         } else {
             Lookup::Sparse(t.vals.clone())
         };
@@ -69,7 +120,7 @@ impl EncTable {
     #[inline]
     fn sym_id<I: BinIndex>(&self, v: I) -> u16 {
         match &self.lookup {
-            Lookup::Dense(ids) => ids[(v.to_i64() as u64 & (ids.len() as u64 - 1)) as usize],
+            Lookup::Dense(ids) => ids.get(v.to_i64()),
             Lookup::Sparse(vals) => match vals.binary_search(&v.to_i64()) {
                 Ok(i) => i as u16,
                 Err(_) => ESCAPE,
@@ -145,6 +196,46 @@ mod tests {
         let dec = DecTable::<I>::new(&table);
         let got = decode_piece(&bytes, 0, words.len(), escapes.len(), indices.len(), &dec).unwrap();
         assert_eq!(got, indices);
+    }
+
+    /// Every value of `I` maps to its table position, or to [`ESCAPE`]
+    /// when absent.
+    fn check_lookup<I: BinIndex>(enc: &EncTable, vals: &[i64]) {
+        let lo = -(1i64 << (I::BITS - 1));
+        for v in lo..-lo {
+            let want = match vals.binary_search(&v) {
+                Ok(i) => i as u16,
+                Err(_) => ESCAPE,
+            };
+            assert_eq!(enc.sym_id(I::from_i64(v)), want, "value {v}");
+        }
+    }
+
+    fn table_of<I: BinIndex>(vals: &[i64]) -> SymbolTable {
+        let data: Vec<I> = vals.iter().flat_map(|&v| [I::from_i64(v); 3]).collect();
+        SymbolTable::optimize(&Histogram::of(&data))
+    }
+
+    #[test]
+    fn dense_lookup_maps_every_value_to_its_symbol_or_escape() {
+        // Tables built one after another on one thread reuse the scratch;
+        // a value of an earlier table must read as ESCAPE in a later one.
+        let first = [-128i64, -3, 0, 5, 127];
+        let second = [-2i64, 1, 4, 126];
+        for vals in [&first[..], &second[..], &[][..]] {
+            let t = table_of::<i8>(vals);
+            assert_eq!(t.vals, vals);
+            check_lookup::<i8>(&EncTable::new::<i8>(&t), vals);
+        }
+        let wide = [-32768i64, -300, -1, 0, 2, 255, 256, 32767];
+        let t16 = table_of::<i16>(&wide);
+        // Two live tables on one thread stay independent.
+        let a = EncTable::new::<i16>(&t16);
+        let b = EncTable::new::<i16>(&table_of::<i16>(&second));
+        check_lookup::<i16>(&a, &wide);
+        check_lookup::<i16>(&b, &second);
+        drop((a, b));
+        check_lookup::<i16>(&EncTable::new::<i16>(&table_of::<i16>(&first)), &first);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Everything here must be bit-deterministic: the table is serialized
 //! into the stream, so any nondeterminism (hash-map iteration order, FPU
 //! flags) would break the contract that serialized bytes are identical
-//! at every thread count. Counting uses a dense array for narrow index
-//! types and a sort for wide ones; frequency quantization is
+//! at every thread count. Counting uses reusable per-thread dense
+//! scratch for narrow index types and a sort for wide ones; frequency quantization is
 //! largest-remainder with explicit tie-breaking; the size estimate that
 //! drives automatic coder choice uses fixed-point (not floating-point)
 //! logarithms.
@@ -37,26 +37,16 @@ pub struct Histogram {
 
 impl Histogram {
     /// Counts `indices` deterministically. Narrow index types (≤ 16 bits)
-    /// use a dense count array indexed by the value's low bits; wide
-    /// types sort a copy and run-length encode, so no hash map (with its
-    /// nondeterministic iteration order) is ever involved.
+    /// count into this thread's [`DenseCounts`] scratch, in
+    /// O(indices + distinct values) per call; wide types sort a copy and
+    /// run-length encode. No hash map (with its nondeterministic
+    /// iteration order) is ever involved.
     pub fn of<I: BinIndex>(indices: &[I]) -> Self {
         let total = indices.len() as u64;
-        if I::BITS <= 16 {
-            let size = 1usize << I::BITS;
-            let half = (size >> 1) as i64;
-            let mut dense = vec![0u64; size];
-            for &v in indices {
-                // Two's-complement offset: value + 2^(B-1) ∈ [0, 2^B).
-                dense[(v.to_i64() + half) as usize] += 1;
-            }
-            let counts = dense
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(slot, &c)| (slot as i64 - half, c))
-                .collect();
-            Self { counts, total }
+        // Dense counts are 32-bit; a longer input takes the sort path,
+        // which yields the same histogram.
+        let counts = if I::BITS <= 16 && total <= u32::MAX as u64 {
+            DenseCounts::with(|dense| dense.count(indices))
         } else {
             let mut sorted: Vec<i64> = indices.iter().map(|v| v.to_i64()).collect();
             sorted.sort_unstable();
@@ -67,8 +57,80 @@ impl Histogram {
                     _ => counts.push((v, 1)),
                 }
             }
-            Self { counts, total }
+            counts
+        };
+        Self { counts, total }
+    }
+}
+
+/// Widest index type the dense counting path serves.
+const DENSE_BITS: u32 = 16;
+
+/// Per-thread counting scratch for narrow index types: one count per
+/// value of the widest narrow type, plus a bitmap of the slots touched.
+/// Reading the counts out walks the bitmap in ascending slot order and
+/// zeroes every word and count it reads, so the scratch is all-zero
+/// between calls and a call never scans or clears the untouched value
+/// space.
+struct DenseCounts {
+    counts: Vec<u32>,
+    touched: Vec<u64>,
+}
+
+std::thread_local! {
+    static DENSE_COUNTS: std::cell::Cell<Option<DenseCounts>> =
+        const { std::cell::Cell::new(None) };
+}
+
+impl DenseCounts {
+    /// Runs `f` on this thread's scratch, allocating it on first use.
+    /// The scratch is taken out of its slot for the call: a nested call
+    /// gets a fresh one, and a panic inside `f` drops it rather than
+    /// leaving stale counts behind.
+    fn with<R>(f: impl FnOnce(&mut Self) -> R) -> R {
+        let mut dense = DENSE_COUNTS
+            .try_with(|slot| slot.take())
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Self {
+                counts: vec![0; 1 << DENSE_BITS],
+                touched: vec![0; (1 << DENSE_BITS) / 64],
+            });
+        let out = f(&mut dense);
+        // During thread teardown the slot may be gone; the scratch is
+        // then simply freed (and, above, a fresh one used).
+        let _ = DENSE_COUNTS.try_with(|slot| slot.set(Some(dense)));
+        out
+    }
+
+    /// Value-ascending `(value, count)` pairs of `indices`, leaving the
+    /// scratch clean.
+    fn count<I: BinIndex>(&mut self, indices: &[I]) -> Vec<(i64, u64)> {
+        debug_assert!(I::BITS <= DENSE_BITS);
+        // Two's-complement offset: value + 2^(B-1) ∈ [0, 2^B).
+        let half = 1i64 << (I::BITS - 1);
+        let counts = &mut self.counts[..1 << I::BITS];
+        let touched = &mut self.touched[..(1usize << I::BITS).div_ceil(64)];
+        for &v in indices {
+            let slot = (v.to_i64() + half) as usize;
+            let c = &mut counts[slot];
+            // Marking only first sightings keeps the bitmap out of the
+            // loop's dependency chain: skewed data repeats a few slots.
+            if *c == 0 {
+                touched[slot / 64] |= 1 << (slot % 64);
+            }
+            *c += 1;
         }
+        let mut out = Vec::new();
+        for (w, word) in touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push((slot as i64 - half, std::mem::take(&mut counts[slot]) as u64));
+            }
+        }
+        out
     }
 }
 
@@ -232,13 +294,13 @@ impl SymbolTable {
             }
             if cursor < self.vals.len() && self.vals[cursor] == v {
                 let f = self.freqs[cursor];
-                payload_q += c as u128 * (scale_q - log2_q16(f as u64) as u128);
+                payload_q += c as u128 * (scale_q - freq_log2_q16(f) as u128);
             } else {
                 escaped += c;
             }
         }
         if escaped > 0 {
-            let esc_cost_q = scale_q - log2_q16(self.esc_freq.max(1) as u64) as u128;
+            let esc_cost_q = scale_q - freq_log2_q16(self.esc_freq.max(1)) as u128;
             payload_q += escaped as u128 * (esc_cost_q + ((index_bits as u128) << Q));
         }
         let payload = (payload_q >> Q) as u64 + 1;
@@ -297,6 +359,19 @@ fn quantize_freqs(counts: &[u64], total: u64) -> Vec<u32> {
     freqs
 }
 
+/// [`log2_q16`] of a quantized frequency `f ∈ [1, SCALE]`, from a table
+/// filled once per process: the size estimate needs one per table symbol,
+/// and 16 squarings each would rival the rest of the coder setup.
+fn freq_log2_q16(f: u32) -> u64 {
+    static TABLE: std::sync::OnceLock<Vec<u32>> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        (0..=SCALE as u64)
+            .map(|x| log2_q16(x.max(1)) as u32)
+            .collect()
+    });
+    table[f as usize] as u64
+}
+
 /// `floor(2^16 · log2(x))` for `x ≥ 1`, by iterated squaring on a
 /// 64-bit mantissa — integer-only, so identical on every platform.
 fn log2_q16(x: u64) -> u64 {
@@ -329,6 +404,85 @@ mod tests {
         assert_eq!(h16.counts, vec![(-3, 2), (0, 4), (5, 3), (7, 1)]);
         assert_eq!(h16.counts, h32.counts);
         assert_eq!(h16.total, 10);
+    }
+
+    /// Sort-and-RLE reference histogram, independent of both paths.
+    fn reference<I: BinIndex>(indices: &[I]) -> Histogram {
+        let mut sorted: Vec<i64> = indices.iter().map(|v| v.to_i64()).collect();
+        sorted.sort();
+        let mut counts: Vec<(i64, u64)> = Vec::new();
+        for chunk in sorted.chunk_by(|a, b| a == b) {
+            counts.push((chunk[0], chunk.len() as u64));
+        }
+        Histogram {
+            counts,
+            total: indices.len() as u64,
+        }
+    }
+
+    /// Narrow-path inputs: empty, one value, both type extremes, every
+    /// value of the type, and seeded skewed/uniform mixes.
+    fn narrow_cases<I: BinIndex>() -> Vec<Vec<I>> {
+        let lo = -(1i64 << (I::BITS - 1));
+        let hi = (1i64 << (I::BITS - 1)) - 1;
+        let mut rng = blazr_util::rng::Xoshiro256pp::seed_from_u64(I::BITS as u64);
+        let skewed: Vec<I> = (0..5000)
+            .map(|_| {
+                let r = rng.next_u64();
+                let mag = (r & 0xFF).trailing_ones() as i64;
+                I::from_i64(if r & 0x100 == 0 { mag } else { -mag })
+            })
+            .chain([I::from_i64(lo), I::from_i64(hi)])
+            .collect();
+        let uniform: Vec<I> = (0..5000)
+            .map(|_| I::from_i64(rng.range(0, (hi - lo + 1) as usize) as i64 + lo))
+            .collect();
+        vec![
+            Vec::new(),
+            vec![I::from_i64(3)],
+            vec![I::from_i64(-1); 17],
+            vec![I::from_i64(lo), I::from_i64(hi), I::from_i64(lo)],
+            (lo..=hi).rev().map(I::from_i64).collect(),
+            skewed,
+            uniform,
+        ]
+    }
+
+    /// Every narrow case, twice in a row on the calling thread (the
+    /// second pass sees whatever the first left in the scratch).
+    fn check_narrow<I: BinIndex>() {
+        let cases = narrow_cases::<I>();
+        for _ in 0..2 {
+            for case in &cases {
+                assert_eq!(Histogram::of(case), reference(case), "{} bits", I::BITS);
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_histogram_matches_sort_reference() {
+        check_narrow::<i8>();
+        check_narrow::<i16>();
+    }
+
+    #[test]
+    fn narrow_histogram_matches_reference_inside_rayon_pieces() {
+        use rayon::prelude::*;
+        for threads in [1, 2, 4, 8] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| {
+                    (0..16usize).into_par_iter().for_each(|i| {
+                        if i % 2 == 0 {
+                            check_narrow::<i8>();
+                        } else {
+                            check_narrow::<i16>();
+                        }
+                    })
+                });
+        }
     }
 
     #[test]
@@ -422,6 +576,9 @@ mod tests {
         }
         assert_eq!(log2_q16(1), 0);
         assert_eq!(log2_q16(4096), 12 << 16);
+        for f in 1..=SCALE {
+            assert_eq!(freq_log2_q16(f), log2_q16(f as u64));
+        }
     }
 
     #[test]

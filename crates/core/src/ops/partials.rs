@@ -28,6 +28,13 @@ use crate::{BinIndex, BlazError, CompressedArray};
 use blazr_precision::Real;
 use rayon::prelude::*;
 
+/// Coefficients a parallel piece of the per-block passes below covers at
+/// least. A block costs a few nanoseconds, so finer pieces would pay a
+/// thread hand-off (tens of microseconds) for microseconds of work:
+/// small chunks run on the calling thread, and large arrays still split
+/// into the engine's maximum piece count.
+const MIN_PIECE_COEFFS: usize = 32 * 1024;
+
 /// Combinable compressed-space statistics of one array ("chunk").
 ///
 /// All fields describe the *reconstruction* (the data the compressed form
@@ -165,7 +172,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
         let scale = self.settings.dc_scale();
         Ok((0..self.block_count())
             .into_par_iter()
-            .with_min_len(32)
+            .with_min_len(MIN_PIECE_COEFFS.div_ceil(k.max(1)))
             .map(|kb| {
                 let mean = self.coeff(kb, dc_slot).to_f64() / scale;
                 let mut ac_energy = 0.0;
@@ -202,7 +209,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
         // Per block: (DC, total energy, envelope low, envelope high).
         let per_block: Vec<(f64, f64, f64, f64)> = (0..self.block_count())
             .into_par_iter()
-            .with_min_len(32)
+            .with_min_len(MIN_PIECE_COEFFS.div_ceil(k.max(1)))
             .map(|kb| {
                 let dc = self.coeff(kb, dc_slot).to_f64();
                 let mut energy = 0.0;

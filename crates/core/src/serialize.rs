@@ -310,16 +310,26 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
     /// Serializes to bytes (v2 layout), choosing the index-payload coder
     /// automatically: rANS when the optimized bin histogram is skewed
     /// enough to beat fixed width, the fixed-width fallback otherwise
-    /// (see [`CompressedArray::choose_coder`]). Deterministic for given
-    /// data at any thread count.
+    /// (see [`CompressedArray::choose_coder`]). The symbol table built
+    /// for that choice is the one the rANS payload is written with, so
+    /// the histogram and table are built once per call. Deterministic
+    /// for given data at any thread count.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with(self.choose_coder())
+        let _span = tel::span!("codec.serialize");
+        let (coder, table) = self.plan_coder();
+        self.write_stream(coder, table)
     }
 
     /// Serializes to bytes (v2 layout) with an explicitly chosen index
     /// coder — the ablation/benchmark entry point.
     pub fn to_bytes_with(&self, coder: Coder) -> Vec<u8> {
         let _span = tel::span!("codec.serialize");
+        self.write_stream(coder, None)
+    }
+
+    /// Writes the v2 stream with `coder`; a rANS payload uses `table`
+    /// when given and builds its own otherwise.
+    fn write_stream(&self, coder: Coder, table: Option<SymbolTable>) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(P::TYPE.tag() as u64, 2);
         w.write_bits(I::TYPE.tag() as u64, 2);
@@ -341,7 +351,10 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
                     "serializer and §IV-C accounting must agree"
                 );
             }
-            Coder::Rans => self.write_indices_rans(&mut w),
+            Coder::Rans => {
+                let table = table.unwrap_or_else(|| self.build_table().1);
+                self.write_indices_rans(&mut w, &table);
+            }
         }
         w.into_bytes()
     }
@@ -363,20 +376,35 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
     /// (platform-independent) size estimate against the fixed-width
     /// payload. Depends only on the data, never on thread count.
     pub fn choose_coder(&self) -> Coder {
+        self.plan_coder().0
+    }
+
+    /// [`CompressedArray::choose_coder`], also returning the symbol table
+    /// when rANS wins so the writer can reuse it.
+    fn plan_coder(&self) -> (Coder, Option<SymbolTable>) {
         if self.indices.is_empty() {
-            return Coder::FixedWidth;
+            return (Coder::FixedWidth, None);
         }
-        let hist = Histogram::of(&self.indices);
-        let table = SymbolTable::optimize(&hist);
-        tel::count!("coder.table_builds", 1);
+        let (hist, table) = self.build_table();
         let n_pieces = self.biggest.len().div_ceil(BLOCKS_PER_PIECE) as u64;
         let est = table.estimated_bits(&hist, I::BITS, n_pieces);
         let fixed = I::BITS as u64 * self.indices.len() as u64;
         if est < fixed {
-            Coder::Rans
+            (Coder::Rans, Some(table))
         } else {
-            Coder::FixedWidth
+            (Coder::FixedWidth, None)
         }
+    }
+
+    /// Counts the bin indices and optimizes their symbol table.
+    fn build_table(&self) -> (Histogram, SymbolTable) {
+        let mut sw = tel::Stopwatch::start();
+        let hist = Histogram::of(&self.indices);
+        sw.lap(tel::histogram!("codec.entropy.histogram"));
+        let table = SymbolTable::optimize(&hist);
+        tel::count!("coder.table_builds", 1);
+        sw.lap(tel::histogram!("codec.entropy.table"));
+        (hist, table)
     }
 
     /// Writes shape, end marker, block shape, mask, and the
@@ -434,14 +462,9 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
     /// Writes the rANS index payload: table header, per-piece
     /// word/escape counts, then the piece bodies (encoded in parallel,
     /// spliced in piece order).
-    fn write_indices_rans(&self, w: &mut BitWriter) {
+    fn write_indices_rans(&self, w: &mut BitWriter, table: &SymbolTable) {
         let k = self.kept_per_block();
         let mut sw = tel::Stopwatch::start();
-        let hist = Histogram::of(&self.indices);
-        sw.lap(tel::histogram!("codec.entropy.histogram"));
-        let table = SymbolTable::optimize(&hist);
-        tel::count!("coder.table_builds", 1);
-        sw.lap(tel::histogram!("codec.entropy.table"));
         w.write_bits(table.vals.len() as u64, 16);
         w.write_bits(table.esc_freq as u64, 13);
         let imask = index_mask(I::BITS);
@@ -449,7 +472,7 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
             w.write_bits(v as u64 & imask, I::BITS);
             w.write_bits((f - 1) as u64, SCALE_BITS);
         }
-        let enc = ans::EncTable::new::<I>(&table);
+        let enc = ans::EncTable::new::<I>(table);
         let indices = &self.indices;
         let pieces: Vec<(Vec<u8>, usize, usize, usize)> = block_ranges(self.biggest.len())
             .into_par_iter()

@@ -88,6 +88,42 @@ fn counters_exact_at_every_thread_count() {
     }
 }
 
+/// `to_bytes` builds the histogram and symbol table once, whether the
+/// coder choice lands on rANS (the table is reused by the writer) or on
+/// fixed width; forcing rANS builds exactly one too.
+#[test]
+fn one_table_build_per_to_bytes() {
+    let _guard = exclusive();
+
+    let smooth = NdArray::from_fn(vec![64, 64], |ix| {
+        (ix[0] as f64 * 0.013).sin() + (ix[1] as f64 * 0.017).cos()
+    });
+    let settings = Settings::new(vec![4, 4]).unwrap();
+    let rans = compress::<f32, i16>(&smooth, &settings).unwrap();
+    let fixed = compress::<f32, i16>(&random_array(&[64, 64], 44), &settings).unwrap();
+    assert_eq!(rans.choose_coder(), blazr::Coder::Rans);
+    assert_eq!(fixed.choose_coder(), blazr::Coder::FixedWidth);
+
+    let builds = |op: &dyn Fn()| {
+        tel::registry().reset();
+        tel::set_mode(tel::Mode::Counters);
+        op();
+        tel::set_mode(tel::Mode::Off);
+        tel::registry()
+            .snapshot()
+            .counter("coder.table_builds")
+            .unwrap_or(0)
+    };
+    for calls in [1u64, 3] {
+        let each = || (0..calls).for_each(|_| drop(rans.to_bytes()));
+        assert_eq!(builds(&each), calls, "rANS-chosen to_bytes");
+        let each = || (0..calls).for_each(|_| drop(fixed.to_bytes()));
+        assert_eq!(builds(&each), calls, "fixed-chosen to_bytes");
+        let each = || (0..calls).for_each(|_| drop(rans.to_bytes_with(blazr::Coder::Rans)));
+        assert_eq!(builds(&each), calls, "forced-rANS to_bytes_with");
+    }
+}
+
 /// Multi-thread teams route through the shim engine and record pool
 /// activity; a single-thread team never touches it.
 #[test]
