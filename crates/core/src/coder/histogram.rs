@@ -5,10 +5,10 @@
 //! into the stream, so any nondeterminism (hash-map iteration order, FPU
 //! flags) would break the contract that serialized bytes are identical
 //! at every thread count. Counting uses reusable per-thread dense
-//! scratch for narrow index types and a sort for wide ones; frequency quantization is
-//! largest-remainder with explicit tie-breaking; the size estimate that
-//! drives automatic coder choice uses fixed-point (not floating-point)
-//! logarithms.
+//! scratch for narrow index types and a sort for wide ones; frequency
+//! quantization is largest-remainder with explicit tie-breaking; the
+//! size estimate that drives automatic coder choice uses fixed-point
+//! (not floating-point) logarithms.
 
 use crate::BinIndex;
 
@@ -114,8 +114,8 @@ impl DenseCounts {
         for &v in indices {
             let slot = (v.to_i64() + half) as usize;
             let c = &mut counts[slot];
-            // Marking only first sightings keeps the bitmap out of the
-            // loop's dependency chain: skewed data repeats a few slots.
+            // Only first sightings touch the bitmap: repeats, most of a
+            // skewed chunk, update one array instead of two.
             if *c == 0 {
                 touched[slot / 64] |= 1 << (slot % 64);
             }
