@@ -66,7 +66,9 @@ fn observe<I: BinIndex>(name: &str, a: &NdArray<f64>, block: &[usize]) -> String
     )
 }
 
-/// Digests recorded from the serializer before its setup was reworked.
+/// Expected lines, recorded from the serializer before its per-chunk
+/// coder setup was reworked. A change that alters one changes the
+/// stream format.
 const PINNED: &[&str] = &[
     "i8/smooth/2d rans 3491 970bc13162036177 3491 970bc13162036177",
     "i8/smooth/3d rans 1103 284a4c0c92f922b8 1103 284a4c0c92f922b8",
